@@ -46,7 +46,7 @@ class EventKind(enum.Enum):
     EDGE_ADDED = "edge-added"
     #: ``amount`` in-/out-edges of ``node`` were detached.
     EDGE_REMOVED = "edge-removed"
-    #: Pearce–Kelly performed ``amount`` affected-region reorderings.
+    #: An edge insertion raised pseudo-heights (``amount`` is 1).
     ORDER_SHIFTED = "order-shifted"
 
     #: A tracked read (Algorithm 3); ``node`` may be None if the

@@ -1,27 +1,30 @@
-"""Incremental topological ordering (Pearce–Kelly).
+"""Incremental topological ordering by maintained pseudo-heights.
 
 Section 4.5 of the paper: "The amount of computation is minimized when
 done in a topological order with respect to the graph, and much research
 has been directed at algorithms to compute this order in the presence of
-graph changes" (citing Hudson, Hoover, and Alpern et al.).  We use the
-Pearce–Kelly dynamic topological ordering algorithm, which provides the
-same contract those systems rely on: after any edge insertion, every node
-carries an integer ``order`` such that edges point from lower to higher
-order, and the work done per insertion is bounded by the size of the
-"affected region" between the edge's endpoints.
+graph changes", deferring to the priority evaluation of Hoover [Hoo86/87]
+(and Hudson, Alpern et al.).  We keep Hoover's priority: every node
+carries an integer ``order``, a *pseudo-height* such that edges point
+from lower to higher order.  A new node starts at 0.  An edge insertion
+that breaks the invariant raises the destination just above the source
+and pushes the raise forward, only through successors now too low, so
+the work is bounded by the nodes actually raised.  Heights are never
+lowered when edges go away; a stale height only over-estimates.
 
 Cycles: Alphonse programs may create re-entrant dependencies (the paper
 tolerates them by setting ``consistent := TRUE`` before executing a body).
 When an edge insertion would create a cycle we leave the ordering
 untouched and report it; propagation remains correct because quiescence
 (value comparison) and the evaluation step limit bound the work — the
-order is a scheduling heuristic, not a correctness requirement.
+order is a scheduling heuristic, not a correctness requirement.  Such a
+tolerated edge stays out of order, and later raises do not push through
+it, so they cannot chase their own tail around the cycle.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List
+from typing import Dict, List, Tuple
 
 from .node import DepNode
 
@@ -30,8 +33,7 @@ class TopologicalOrder:
     """Maintains ``node.order`` under incremental edge insertion."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count(1)
-        #: Number of O(affected-region) reorderings performed, exposed so
+        #: Number of edge insertions that raised any height, exposed so
         #: the runtime can account for bookkeeping cost (Section 9.2's
         #: "plus the bookkeeping cost of the quiescence propagation
         #: algorithm").
@@ -39,8 +41,8 @@ class TopologicalOrder:
         self.cycles_detected = 0
 
     def register(self, node: DepNode) -> None:
-        """Assign a fresh (maximal) order to a newly created node."""
-        node.order = next(self._counter)
+        """A new node has no predecessors yet: height 0."""
+        node.order = 0
 
     def edge_added(self, src: DepNode, dst: DepNode) -> bool:
         """Restore the invariant after inserting edge ``src -> dst``.
@@ -50,71 +52,37 @@ class TopologicalOrder:
         """
         if src.order < dst.order:
             return True  # invariant already holds; O(1) fast path
-
-        # Affected region: nodes with order in [dst.order, src.order].
-        forward: List[DepNode] = []
-        if not self._dfs_forward(dst, src, forward):
+        if src is dst:
             self.cycles_detected += 1
             return False
-        backward: List[DepNode] = []
-        self._dfs_backward(src, dst.order, backward)
 
-        self._reorder(forward, backward)
+        # Each raised node's height before this insertion: the undo log
+        # for a cycle, and the test that tells an edge which held before
+        # from a tolerated cycle edge that never did.
+        before: Dict[int, Tuple[DepNode, int]] = {id(dst): (dst, dst.order)}
+        dst.order = src.order + 1
+        stack: List[DepNode] = [dst]
+        while stack:
+            node = stack.pop()
+            height = node.order
+            floor = before[id(node)][1]
+            for succ in node.succ.nodes():
+                if succ.order > height:
+                    continue
+                entry = before.get(id(succ))
+                if (succ.order if entry is None else entry[1]) <= floor:
+                    continue  # out of order already: a tolerated cycle
+                if succ is src:
+                    for raised, old in before.values():
+                        raised.order = old
+                    self.cycles_detected += 1
+                    return False
+                if entry is None:
+                    before[id(succ)] = (succ, succ.order)
+                succ.order = height + 1
+                stack.append(succ)
         self.shifts += 1
         return True
-
-    # ------------------------------------------------------------------
-    # Pearce–Kelly internals.  Visited marks live in per-call id() sets,
-    # so nodes need no hashability and no extra fields.
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _dfs_forward(start: DepNode, edge_src: DepNode, out: List[DepNode]) -> bool:
-        """Collect nodes reachable from ``start`` with order <= edge_src.order.
-
-        Returns False if ``edge_src`` itself is reached, meaning the new
-        edge closes a cycle.
-        """
-        upper = edge_src.order
-        stack = [start]
-        seen = {id(start)}
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            for succ in node.succ.nodes():
-                if succ is edge_src:
-                    return False
-                if succ.order <= upper and id(succ) not in seen:
-                    seen.add(id(succ))
-                    stack.append(succ)
-        return True
-
-    @staticmethod
-    def _dfs_backward(start: DepNode, lower: int, out: List[DepNode]) -> None:
-        """Collect nodes that reach ``start`` with order >= lower."""
-        stack = [start]
-        seen = {id(start)}
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            for pred in node.pred.nodes():
-                if pred.order >= lower and id(pred) not in seen:
-                    seen.add(id(pred))
-                    stack.append(pred)
-
-    @staticmethod
-    def _reorder(forward: List[DepNode], backward: List[DepNode]) -> None:
-        """Permute the affected nodes' orders: backward set, then forward.
-
-        The pool of order values already held by the affected nodes is
-        redistributed, preserving relative order within each set — the
-        classic Pearce–Kelly "allocate" step.
-        """
-        forward.sort(key=lambda n: n.order)
-        backward.sort(key=lambda n: n.order)
-        pool = sorted(n.order for n in itertools.chain(backward, forward))
-        for node, value in zip(itertools.chain(backward, forward), pool):
-            node.order = value
 
 
 def verify_order(nodes: List[DepNode]) -> bool:

@@ -68,9 +68,9 @@ class InconsistentSet:
     Implemented as a binary min-heap keyed by the node's topological
     order at insertion time, with lazy deletion (the node's
     ``in_inconsistent_set`` flag is the source of truth for membership).
-    Order keys may go stale when Pearce–Kelly reorders nodes; that only
-    degrades scheduling quality, never correctness, because quiescence
-    propagation re-checks values.
+    Order keys may go stale when a later edge raises a pending node's
+    pseudo-height; that only degrades scheduling quality, never
+    correctness, because quiescence propagation re-checks values.
 
     The tie-break sequence keeps heap entries from ever comparing on the
     DepNode itself (which would raise).  Sets created by a

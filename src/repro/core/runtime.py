@@ -264,32 +264,8 @@ class Runtime:
         self._closed = False
         #: Per-runtime argument tables, keyed by IncrementalProcedure id.
         self._tables: Dict[int, ArgumentTable] = {}
-        #: Deprecated observer hook ``(event, node) -> None`` with events
-        #: "execute", "hit", and "change" — kept as a shim over the event
-        #: bus (see :meth:`_bridge_legacy`).  New code should subscribe
-        #: to ``rt.events`` directly.
-        self.on_event: Optional[Callable[[str, DepNode], None]] = None
-        for kind, name in (
-            (EventKind.EXECUTION, "execute"),
-            (EventKind.CACHE_HIT, "hit"),
-            (EventKind.CHANGE_DETECTED, "change"),
-        ):
-            self.events.subscribe(kind, self._bridge_legacy(name))
         if resilience is not None:
             self.use_resilience(resilience)
-
-    def _bridge_legacy(self, name: str):
-        """Forward a bus event to the deprecated ``on_event`` hook."""
-
-        def forward(kind: EventKind, node: Any, amount: int, data: Any) -> None:
-            callback = self.on_event
-            if callback is None:
-                return
-            if kind is EventKind.EXECUTION and data is False:
-                return  # superseded activation: never reported historically
-            callback(name, node)
-
-        return forward
 
     @property
     def _context(self) -> _Ctx:
@@ -319,11 +295,6 @@ class Runtime:
     def stats(self) -> RuntimeStats:
         """Operation counters, maintained by an event-bus subscriber."""
         return self._collector.stats
-
-    @property
-    def evaluator(self) -> Scheduler:
-        """Deprecated alias for :attr:`scheduler` (the old field name)."""
-        return self.scheduler
 
     # ------------------------------------------------------------------
     # access / modify  (Algorithms 3 and 4)
@@ -1072,9 +1043,6 @@ class Runtime:
         has ever been called in this runtime (debugging/diagnostics)."""
         table = self._tables.get(proc.proc_id)
         return table.find(tuple(args)) if table is not None else None
-
-    #: Deprecated: use :func:`repro.core.node.values_equal`.
-    _values_equal = staticmethod(values_equal)
 
 
 class Location:

@@ -25,12 +25,15 @@ leaves node selection to subclasses:
 
 * :class:`TopologicalScheduler` — the default and the pre-refactor
   ``Evaluator``: pops the inconsistent set's min-heap, which is keyed by
-  Pearce–Kelly topological order.
+  the maintained pseudo-height of :mod:`repro.core.order` — Hoover's
+  priority evaluation [Hoo86/87].
 * :class:`HeightOrderedScheduler` — processes pending nodes in
   ascending *dependency height* (longest path from storage), the
   priority used by Hoover's earlier aggregate-update work and by
-  Incremental-style engines.  Heights are computed per refill, so it
-  trades scheduling bookkeeping for immunity to stale Pearce–Kelly keys.
+  Incremental-style engines.  Heights are computed exactly per refill,
+  so it trades scheduling bookkeeping for immunity to heap keys that
+  went stale after insertion and to pseudo-heights that are never
+  lowered when edges go away.
 
 The unit of draining is a partition (:class:`PartitionScheduler`), not
 the runtime: :meth:`Scheduler.drain` claims one partition, processes it
@@ -369,10 +372,10 @@ class Scheduler:
 class TopologicalScheduler(Scheduler):
     """The default policy and the pre-refactor ``Evaluator``.
 
-    The inconsistent set is a min-heap keyed by Pearce–Kelly topological
-    order at insertion time, so popping it *is* the selection policy —
-    O(log n) per step, with keys that may go stale under reordering
-    (degrading schedule quality, never correctness).
+    The inconsistent set is a min-heap keyed by pseudo-height at
+    insertion time, so popping it *is* the selection policy — O(log n)
+    per step, with keys that may go stale when a later edge raises a
+    height (degrading schedule quality, never correctness).
     """
 
     name = "topological"

@@ -161,24 +161,6 @@ class TestExecutionLog:
             )
         assert rt.events.subscriber_count(EventKind.EXECUTION) == before
 
-    def test_legacy_on_event_hook_still_fires(self, rt):
-        """The deprecated ``rt.on_event`` shim is bridged from the bus."""
-        a = Cell(1, label="a")
-
-        @cached
-        def f():
-            return a.get()
-
-        seen = []
-        rt.on_event = lambda kind, node: seen.append(kind)
-        try:
-            f()
-            f()
-            a.set(2)
-        finally:
-            rt.on_event = None
-        assert seen == ["execute", "hit", "change"]
-
     def test_nested_recording_chains(self, rt):
         a = Cell(1, label="a")
 

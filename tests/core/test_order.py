@@ -1,4 +1,4 @@
-"""Tests for the Pearce–Kelly incremental topological ordering."""
+"""Tests for the incremental topological ordering by pseudo-heights."""
 
 import random
 
@@ -23,19 +23,36 @@ def _add_edge(order_mgr, src, dst):
 
 
 class TestTopologicalOrder:
-    def test_registration_assigns_increasing_orders(self):
+    def test_registration_starts_nodes_level(self):
         mgr = TopologicalOrder()
         nodes = _make(mgr, 5)
-        orders = [n.order for n in nodes]
-        assert orders == sorted(orders)
-        assert len(set(orders)) == 5
+        assert {n.order for n in nodes} == {0}
 
     def test_forward_edge_is_fast_path(self):
         mgr = TopologicalOrder()
-        a, b = _make(mgr, 2)
-        assert _add_edge(mgr, a, b) is True
-        assert mgr.shifts == 0
-        assert verify_order([a, b])
+        a, b, c = _make(mgr, 3)
+        assert _add_edge(mgr, a, b) and _add_edge(mgr, b, c)
+        shifts, orders = mgr.shifts, (a.order, b.order, c.order)
+        assert a.order < c.order
+        assert _add_edge(mgr, a, c) is True
+        assert mgr.shifts == shifts
+        assert (a.order, b.order, c.order) == orders
+        assert verify_order([a, b, c])
+
+    def test_equal_heights_raise_only_destination_side(self):
+        mgr = TopologicalOrder()
+        a, b, c, d, e = _make(mgr, 5)
+        for src, dst in [(a, c), (b, d), (d, e)]:
+            assert _add_edge(mgr, src, dst)
+        assert (c.order, d.order) == (1, 1)
+        shifts = mgr.shifts
+        assert _add_edge(mgr, c, d) is True
+        assert mgr.shifts == shifts + 1
+        # d and its successor rise; the source side and d's other
+        # predecessor keep their heights.
+        assert (a.order, b.order, c.order) == (0, 0, 1)
+        assert (d.order, e.order) == (2, 3)
+        assert verify_order([a, b, c, d, e])
 
     def test_backward_edge_triggers_reorder(self):
         mgr = TopologicalOrder()
@@ -76,6 +93,18 @@ class TestTopologicalOrder:
         (a,) = _make(mgr, 1)
         assert _add_edge(mgr, a, a) is False
         assert mgr.cycles_detected == 1
+
+    def test_raise_does_not_chase_tolerated_cycle(self):
+        """Cyclic edges the runtime keeps attached stay out of order, and
+        a later raise through the cycle stops at them."""
+        mgr = TopologicalOrder()
+        x, a, b = _make(mgr, 3)
+        assert _add_edge(mgr, a, b)
+        assert _add_edge(mgr, b, a) is False
+        assert _add_edge(mgr, a, a) is False
+        assert _add_edge(mgr, x, a) is True
+        assert (x.order, a.order, b.order) == (0, 1, 2)
+        assert mgr.cycles_detected == 2
 
     def test_random_dag_insertions_seeded(self):
         rng = random.Random(7)

@@ -1,12 +1,11 @@
-"""The Scheduler abstraction: pluggable drain policies, golden-stats
-parity between implementations, and the legacy ``Evaluator`` shim."""
+"""The Scheduler abstraction: pluggable drain policies and golden-stats
+parity between implementations."""
 
 import math
 
 import pytest
 
 from repro import EAGER, HeightOrderedScheduler, Runtime, TopologicalScheduler
-from repro.core.propagation import Evaluator
 from repro.trees import Tree, TreeNil
 
 
@@ -83,12 +82,12 @@ GOLDEN_KEYS = [
 
 class TestSchedulerParity:
     def test_eager_e2_golden_stats_match_old_evaluator(self):
-        """The height scheduler must reproduce the old Evaluator's
+        """The height scheduler must reproduce the topological scheduler's
         quiescence behavior exactly on the E2 workload: same cuts, same
         re-executions, same answer."""
         n = 2**8 - 1
         height = int(math.log2(n + 1))
-        init_topo, final_topo, topo = _e2_eager_workload(Evaluator, n)
+        init_topo, final_topo, topo = _e2_eager_workload(TopologicalScheduler, n)
         init_h, final_h, by_height = _e2_eager_workload("height", n)
 
         assert init_topo == init_h == height
@@ -149,12 +148,6 @@ class TestSchedulerPlumbing:
     def test_bad_factory_result_rejected(self):
         with pytest.raises(TypeError):
             Runtime(scheduler=lambda r: object())
-
-    def test_legacy_evaluator_shim(self):
-        """``Evaluator`` and ``rt.evaluator`` keep working post-refactor."""
-        assert Evaluator is TopologicalScheduler
-        rt = Runtime()
-        assert rt.evaluator is rt.scheduler
 
     def test_height_scheduler_orders_low_before_high(self):
         """On a linear eager chain the height scheduler must process the

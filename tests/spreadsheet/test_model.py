@@ -167,3 +167,21 @@ class TestCircularReferences:
         sheet.set_formula(0, 1, 7)  # break the cycle
         assert sheet.value(0, 0) == 7
         assert sheet.value(0, 1) == 7
+
+
+class TestOrderMaintenance:
+    def test_same_shape_edit_keeps_existing_heights(self, rt):
+        """Rewriting the head of a 200-row chain with a formula of the
+        same shape raises only the fresh formula tree: no node that
+        existed before the edit changes its order."""
+        rows = 200
+        sheet = Spreadsheet(rows, 1)
+        sheet.set_formula(0, 0, "1 + 2")
+        for row in range(1, rows):
+            sheet.set_formula(row, 0, f"R{row - 1}C0 + 1")
+        assert sheet.value(rows - 1, 0) == 3 + rows - 1
+        before = [(node, node.order) for node in rt.graph.nodes]
+        sheet.set_formula(0, 0, "2 + 2")
+        assert sheet.value(rows - 1, 0) == 4 + rows - 1
+        moved = [node.label for node, order in before if node.order != order]
+        assert moved == []
