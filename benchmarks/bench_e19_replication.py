@@ -88,9 +88,9 @@ def test_e19_replication_counters(tmp_path):
 
     # Fixed script: 4 single-cell writes and one 2-cell batch on "a",
     # 3 single-cell writes on "b".  Every write ships one WAL record
-    # plus one edit-log record; the batch ships one WAL record per
-    # cell (the spreadsheet logs each set_formula) plus two edit
-    # records; each session opens with one attach resync.
+    # (its set_formula redo record, which also carries the edit
+    # history); the batch ships one WAL record per cell; each session
+    # opens with one attach resync.
     a = Session.open("a", config, shipper=shipper)
     for col in range(4):
         a.apply({"op": "write", "cells": [[0, col, str(col + 1)]]})

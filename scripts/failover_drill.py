@@ -1,8 +1,8 @@
 """CI failover drill: SIGKILL the primary, promote a warm standby.
 
 The ``failover-drill`` CI job's entry point.  The parent process boots
-two real server processes — a primary shipping its WAL/edit-log stream
-semi-synchronously and a warm standby applying it — then:
+two real server processes — a primary shipping its checkpoint + WAL
+stream semi-synchronously and a warm standby applying it — then:
 
 1. drives a seeded TCP load against the primary, keeping a per-session
    ledger of every **acknowledged** edit, in order;
@@ -80,7 +80,6 @@ def serve_child(role: str, root: str, replicas: tuple) -> int:
         standby=(role == "standby"),
         replicas=replicas,
         wal_segment_records=8,
-        editlog_fsync_every_n=1,
         watchdog_max_steps=None,
         explain=False,
     )

@@ -1,11 +1,12 @@
 """Standby promotion: replay the tail, audit, open for writes.
 
 Promotion is deliberately boring.  The standby's replica root is, by
-construction, a valid serve-state directory — the same checkpoint /
-WAL / edit-log layout a crashed primary leaves behind — so promoting
-is just opening every session through the ordinary resurrection path
+construction, a valid serve-state directory — the same checkpoint +
+WAL pair a crashed primary leaves behind — so promoting is just
+opening every session through the ordinary resurrection path
 (:meth:`repro.serve.session.Session.open`), which replays the WAL tail
-via lazy-adoption recovery, then auditing the recovered graph with
+via lazy-adoption recovery (the session's edit history comes back from
+the same two files), then auditing the recovered graph with
 :func:`repro.core.integrity.audit` before declaring the session
 writable.  No bespoke promotion-time state machine exists to be subtly
 wrong; failover exercises exactly the crash-recovery path the chaos
@@ -67,10 +68,7 @@ def session_ids(root: str) -> List[str]:
     out = []
     for entry in entries:
         base = os.path.join(root, entry, "sheet")
-        if any(
-            os.path.exists(base + suffix)
-            for suffix in ("", ".wal", ".editlog")
-        ):
+        if os.path.exists(base) or os.path.exists(base + ".wal"):
             out.append(entry)
     return out
 

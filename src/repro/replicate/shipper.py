@@ -429,8 +429,10 @@ class Shipper:
 
     def _drain_queue(self, state: _LinkState) -> None:
         while True:
+            # Peek, deliver, then pop: an item leaves the queue only once
+            # delivered, so an empty queue means nothing is in flight.
             with self._lock:
-                item = state.queue.pop(0) if state.queue else None
+                item = state.queue[0] if state.queue else None
                 if item is None and self._closed:
                     return
             if item is None:
@@ -441,6 +443,8 @@ class Shipper:
                 self._deliver_resync(state, sid, payload)
             else:
                 self._deliver(state, sid, payload, None)
+            with self._lock:
+                state.queue.pop(0)
 
     # -- observability / lifecycle -------------------------------------
 

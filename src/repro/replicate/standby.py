@@ -2,10 +2,11 @@
 
 A :class:`StandbyApplier` owns a serve-state root on the standby host
 and keeps it byte-equivalent to the primary's: every applied ``wal``
-record is appended to the replica's WAL, every ``edit`` record to the
-edit-log sidecar, and every ``ckpt`` record atomically replaces the
-checkpoint and truncates the replica WAL — exactly mirroring the
-checkpoint-anchored truncation the primary performed.  Because the
+record is appended to the replica's WAL, and every ``ckpt`` record
+atomically replaces the checkpoint and truncates the replica WAL —
+exactly mirroring the checkpoint-anchored truncation the primary
+performed.  The session's edit history needs no file of its own: it
+rides in the checkpoint and the WAL's application records.  Because the
 replica is maintained as *files*, promotion needs no special machinery:
 :func:`repro.replicate.promote.promote_root` simply opens each session
 directory through the ordinary resurrection path, which replays the
@@ -60,7 +61,7 @@ class StandbyApplier:
         self.gaps = 0
         self.resyncs = 0
         self._positions: Dict[str, StreamPosition] = {}
-        self._handles: Dict[str, Dict[str, Any]] = {}
+        self._wal_handles: Dict[str, Any] = {}
         self._since_warm: Dict[str, int] = {}
         self._warm: Dict[str, Dict[str, Any]] = {}
         # Per-sid work arrives on that sid's pinned worker; the lock
@@ -86,27 +87,25 @@ class StandbyApplier:
                 self._positions[sid] = pos
             return pos
 
-    def _handle(self, sid: str, kind: str):
-        """A cached append handle for the sid's WAL or edit log."""
+    def _wal_handle(self, sid: str):
+        """A cached append handle for the sid's replica WAL."""
         with self._lock:
-            handles = self._handles.setdefault(sid, {})
-            fh = handles.get(kind)
+            fh = self._wal_handles.get(sid)
             if fh is None:
-                suffix = ".wal" if kind == "wal" else ".editlog"
-                fh = open(self._base(sid) + suffix, "a", encoding="utf-8")
-                handles[kind] = fh
+                fh = open(self._base(sid) + ".wal", "a", encoding="utf-8")
+                self._wal_handles[sid] = fh
             return fh
 
-    def _flush_handles(self, sid: str) -> None:
+    def _flush_wal(self, sid: str) -> None:
         with self._lock:
-            handles = list(self._handles.get(sid, {}).values())
-        for fh in handles:
+            fh = self._wal_handles.get(sid)
+        if fh is not None:
             fh.flush()
 
-    def _drop_handles(self, sid: str) -> None:
+    def _drop_wal(self, sid: str) -> None:
         with self._lock:
-            handles = self._handles.pop(sid, {})
-        for fh in handles.values():
+            fh = self._wal_handles.pop(sid, None)
+        if fh is not None:
             try:
                 fh.close()
             except OSError:
@@ -158,7 +157,7 @@ class StandbyApplier:
                 break
             self._apply_one(sid, record)
             applied += 1
-        self._flush_handles(sid)
+        self._flush_wal(sid)
         if applied:
             pos.advance(pos.lsn + applied, applied=applied)
             self.applied_total += applied
@@ -185,20 +184,19 @@ class StandbyApplier:
                 os.fsync(fh.fileno())
             os.replace(tmp, base)
             # Mirror the primary's checkpoint-anchored WAL truncation.
-            self._drop_handles(sid)
+            self._drop_wal(sid)
             wal_path = base + ".wal"
             for segment in WriteAheadLog.segment_files(wal_path):
                 os.remove(segment)
             open(wal_path, "w").close()
             return
         # Buffered append; _apply_records flushes once per frame so a
-        # multi-record frame pays one write syscall per touched file.
-        fh = self._handle(sid, "wal" if kind == "wal" else "edit")
-        fh.write(payload + "\n")
+        # multi-record frame pays one write syscall.
+        self._wal_handle(sid).write(payload + "\n")
 
     def _apply_resync(self, sid: str, frame: Dict[str, Any]) -> Dict[str, Any]:
         base = self._base(sid)
-        self._drop_handles(sid)
+        self._drop_wal(sid)
         self._drop_warm(sid)
         lsn = frame.get("lsn")
         if not isinstance(lsn, int) or lsn < 0:
@@ -219,8 +217,6 @@ class StandbyApplier:
             os.remove(segment)
         with open(wal_path, "w", encoding="utf-8") as fh:
             fh.write(frame.get("wal") or "")
-        with open(base + ".editlog", "w", encoding="utf-8") as fh:
-            fh.write(frame.get("editlog") or "")
         pos = self._position(sid)
         pos.reset(lsn)
         self.resyncs += 1
@@ -311,7 +307,7 @@ class StandbyApplier:
             positions = list(self._positions.values())
         for pos in positions:
             pos.flush()
-        for sid in list(self._handles):
-            self._drop_handles(sid)
+        for sid in list(self._wal_handles):
+            self._drop_wal(sid)
         for sid in list(self._warm):
             self._drop_warm(sid)

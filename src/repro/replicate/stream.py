@@ -1,34 +1,34 @@
 """The replication stream: record framing, CRCs, and positions.
 
-One session's durable state is three files (checkpoint, WAL,
-edit-log sidecar); replication keeps a warm copy of all three on a
-standby by shipping *records* — one appended WAL line, one edit-log
-entry, or one whole checkpoint — stamped with a per-session,
-monotonically increasing **stream LSN**.  The stream is the serialized
-history of everything the primary made durable for that session, in
-the order it became durable, and the LSN is its position vocabulary:
+One session's durable state is a checkpoint plus its WAL (whose
+application records also carry the session's edit history);
+replication keeps a warm copy of both on a standby by shipping
+*records* — one appended WAL line or one whole checkpoint — stamped
+with a per-session, monotonically increasing **stream LSN**.  The
+stream is the serialized history of everything the primary made
+durable for that session, in the order it became durable, and the LSN
+is its position vocabulary:
 
 * the primary assigns LSN ``n+1`` to each record it ships after ``n``;
 * the standby acknowledges the highest LSN it has applied;
 * a record arriving with ``lsn != applied + 1`` (or failing its CRC)
   is a **gap** — the standby refuses it and answers with the LSN it
   expected, and the primary heals by sending a ``resync`` frame: the
-  session's current checkpoint plus the WAL segments and edit log
-  since it, wholesale (see ``docs/replication.md``).
+  session's current checkpoint plus the WAL segments since it,
+  wholesale (see ``docs/replication.md``).
 
 Two frame kinds travel the wire (inside a serve-protocol ``ship`` op):
 
 ``records`` — an ordered batch of stream records::
 
     {"kind": "records", "sid": ..., "records": [
-        {"lsn": 7, "k": "wal",  "p": "<one WAL line>",   "crc": "..."},
-        {"lsn": 8, "k": "edit", "p": "<one editlog line>", "crc": "..."},
-        {"lsn": 9, "k": "ckpt", "p": "<checkpoint bytes>", "crc": "..."}]}
+        {"lsn": 7, "k": "wal",  "p": "<one WAL line>",     "crc": "..."},
+        {"lsn": 8, "k": "ckpt", "p": "<checkpoint bytes>", "crc": "..."}]}
 
 ``resync`` — a full session snapshot that resets the replica::
 
     {"kind": "resync", "sid": ..., "lsn": <position after applying>,
-     "ckpt": <checkpoint bytes|null>, "wal": ..., "editlog": ...}
+     "ckpt": <checkpoint bytes|null>, "wal": <WAL segments + active>}
 
 Every record payload is CRC-guarded independently of the transport
 (WAL lines additionally carry their own embedded CRC, which the
@@ -55,9 +55,9 @@ __all__ = [
     "verify_record",
 ]
 
-#: What one stream record can carry: a WAL line, an edit-log line, or
-#: a whole checkpoint file.
-RECORD_KINDS = ("wal", "edit", "ckpt")
+#: What one stream record can carry: a WAL line or a whole checkpoint
+#: file.
+RECORD_KINDS = ("wal", "ckpt")
 
 
 def record_crc(payload: str) -> str:
@@ -207,8 +207,8 @@ def concat_wal(path: str) -> str:
 
 def session_resync_frame(root: str, sid: str, lsn: int) -> Dict[str, Any]:
     """A full-session snapshot frame built from the session's files:
-    checkpoint + every WAL segment since it + the edit log.  ``lsn`` is
-    the stream position the standby adopts after applying it."""
+    checkpoint + every WAL segment since it.  ``lsn`` is the stream
+    position the standby adopts after applying it."""
     base = os.path.join(root, sid, "sheet")
     return {
         "kind": "resync",
@@ -216,5 +216,4 @@ def session_resync_frame(root: str, sid: str, lsn: int) -> Dict[str, Any]:
         "lsn": int(lsn),
         "ckpt": read_file(base),
         "wal": concat_wal(base + ".wal"),
-        "editlog": read_file(base + ".editlog") or "",
     }

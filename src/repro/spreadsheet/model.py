@@ -147,6 +147,13 @@ class Spreadsheet:
         #: re-set formula never claims the ids of the tree it replaced
         #: (adoption must not conflate tree generations).
         self._next_gen: Dict[Tuple[int, int], int] = {}
+        #: Every formula edit the WAL has been given, in commit order, as
+        #: ``[row, col, source]`` — the serializable history a
+        #: convergence check replays on a fresh sheet.  Checkpoints carry
+        #: it and :meth:`load` extends it with the replayed WAL tail, so
+        #: it is exactly as durable as the sheet.  A sheet without a
+        #: persistence manager logs nothing and keeps it empty.
+        self.history: List[List[Any]] = []
         #: The runtime this sheet was recovered under (set by load()).
         self.runtime: Optional[Any] = None
         # Durable identities (repro.persist.ids): grid coordinates name
@@ -243,6 +250,7 @@ class Spreadsheet:
                         "gen": gen,
                     }
                 )
+                self.history.append([row, col, source])
         else:
             self._sources.pop(key, None)
 
@@ -266,10 +274,23 @@ class Spreadsheet:
         With ``rollback_on_error=True``, a failure partway through the
         burst (an unparsable formula, out-of-range coordinates) restores
         every cell already pasted — the sheet never keeps half a paste.
+        The redo state rolls back with the cells: the WAL drops the
+        batch's buffered records, and :attr:`history` and the sources a
+        checkpoint stores forget the batch's edits.
         """
-        with get_runtime().batch(rollback_on_error=rollback_on_error):
-            for row, col, formula in updates:
-                self.set_formula(row, col, formula)
+        rt = get_runtime()
+        outermost = not rt.in_batch
+        sources = dict(self._sources)
+        logged = len(self.history)
+        try:
+            with rt.batch(rollback_on_error=rollback_on_error):
+                for row, col, formula in updates:
+                    self.set_formula(row, col, formula)
+        except BaseException:
+            if rollback_on_error and outermost:
+                self._sources = sources
+                del self.history[logged:]
+            raise
 
     # -- queries ---------------------------------------------------------
 
@@ -375,6 +396,7 @@ class Spreadsheet:
                     self._sources.items(), key=lambda item: item[0]
                 )
             ],
+            "history": list(self.history),
         }
 
     def save(self, path: str) -> str:
@@ -406,6 +428,7 @@ class Spreadsheet:
         before reading values): the grid is rebuilt, checkpointed cell
         state is adopted in place, and formula sources — checkpointed
         ones first, then WAL-tail edits in commit order — are replayed.
+        :attr:`history` is the checkpoint's followed by the WAL tail's.
         Corrupt state degrades to an exhaustive rebuild of the same
         formulas; only a checkpoint too damaged to surface the sheet's
         dimensions raises :class:`SpreadsheetLoadError`.
@@ -438,6 +461,7 @@ class Spreadsheet:
             # pre-replay empty grid at commit and invalidate everything).
             for row, col, source, gen in state.get("formulas", ()):
                 sheet.set_formula(row, col, source, _gen=gen)
+            sheet.history = list(state.get("history", ()))
             for record in report.app_records:
                 if (
                     isinstance(record, dict)
@@ -448,6 +472,9 @@ class Spreadsheet:
                         record["col"],
                         record["source"],
                         _gen=record.get("gen"),
+                    )
+                    sheet.history.append(
+                        [record["row"], record["col"], record["source"]]
                     )
         sheet.runtime = rt
         return sheet, report

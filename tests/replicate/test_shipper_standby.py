@@ -6,7 +6,11 @@ import os
 from repro.persist.wal import WriteAheadLog
 from repro.replicate.shipper import InprocLink, LinkDown, Shipper
 from repro.replicate.standby import StandbyApplier
-from repro.replicate.stream import make_record, session_resync_frame
+from repro.replicate.stream import (
+    make_record,
+    record_crc,
+    session_resync_frame,
+)
 from repro.resil import RetryPolicy
 
 
@@ -19,18 +23,16 @@ def _wal_line(n):
         wal = WriteAheadLog(path)
         wal.append({"t": "a", "d": {"n": n}})
         wal.close()
-        return open(path, encoding="utf-8").read().rstrip("\n")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().rstrip("\n")
 
 
 def _records(*lsns):
-    return [make_record(lsn, "edit", f'[0, {lsn}, "{lsn}"]') for lsn in lsns]
+    return [make_record(lsn, "wal", _wal_line(lsn)) for lsn in lsns]
 
 
 def _resync(lsn=0):
-    return {
-        "kind": "resync", "sid": "s", "lsn": lsn,
-        "ckpt": None, "wal": "", "editlog": "",
-    }
+    return {"kind": "resync", "sid": "s", "lsn": lsn, "ckpt": None, "wal": ""}
 
 
 class TestStandbyApplier:
@@ -61,9 +63,9 @@ class TestStandbyApplier:
         assert result["applied"] is False
         assert result["expect"] == 2
         assert applier.gaps == 1
-        # The good prefix landed in the edit log.
-        editlog = (tmp_path / "s" / "sheet.editlog").read_text()
-        assert editlog.count("\n") == 1
+        # The good prefix landed in the WAL.
+        wal_text = (tmp_path / "s" / "sheet.wal").read_text()
+        assert wal_text.count("\n") == 1
         applier.close()
 
     def test_crc_tamper_is_refused(self, tmp_path):
@@ -72,6 +74,20 @@ class TestStandbyApplier:
         bad[0]["p"] = bad[0]["p"] + "!"
         result = applier.apply({"kind": "records", "sid": "s", "records": bad})
         assert result["applied"] is False and "CRC" in result["reason"]
+        applier.close()
+
+    def test_retired_edit_record_kind_is_refused(self, tmp_path):
+        # Edit history rides in the WAL: a stand-alone "edit" record
+        # from the wire is an unknown kind, answered with a nack.
+        applier = StandbyApplier(str(tmp_path), warm_every=0)
+        payload = '[0, 0, "5"]'
+        record = {"lsn": 1, "k": "edit", "p": payload, "crc": record_crc(payload)}
+        result = applier.apply(
+            {"kind": "records", "sid": "s", "records": [record]}
+        )
+        assert result["applied"] is False and result["expect"] == 1
+        assert "unknown record kind 'edit'" in result["reason"]
+        assert not (tmp_path / "s" / "sheet.wal").exists()
         applier.close()
 
     def test_wal_record_with_broken_embedded_crc_is_refused(self, tmp_path):
@@ -108,13 +124,15 @@ class TestStandbyApplier:
         applier.apply({"kind": "records", "sid": "s", "records": _records(1)})
         frame = {
             "kind": "resync", "sid": "s", "lsn": 9,
-            "ckpt": "NEW", "wal": "walline\n", "editlog": "editline\n",
+            "ckpt": "NEW", "wal": "walline\n",
         }
         result = applier.apply(frame)
         assert result["applied"] is True and result["lsn"] == 9
         assert (tmp_path / "s" / "sheet").read_text() == "NEW"
         assert (tmp_path / "s" / "sheet.wal").read_text() == "walline\n"
-        assert (tmp_path / "s" / "sheet.editlog").read_text() == "editline\n"
+        assert sorted(os.listdir(tmp_path / "s")) == [
+            "sheet", "sheet.pos", "sheet.wal",
+        ]
         # Next record must continue from the resync position.
         ok = applier.apply(
             {"kind": "records", "sid": "s", "records": _records(10)}
@@ -209,7 +227,6 @@ class TestShipper:
         primary.mkdir(parents=True)
         (primary / "sheet").write_text("CKPT")
         (primary / "sheet.wal").write_text("")
-        (primary / "sheet.editlog").write_text('[0, 0, "1"]\n')
         applier, _link, shipper = self._pair(
             tmp_path, root=str(tmp_path / "primary")
         )

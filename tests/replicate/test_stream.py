@@ -1,7 +1,5 @@
 """Stream records, CRCs, and persisted positions (repro.replicate.stream)."""
 
-import json
-
 from repro.replicate.stream import (
     StreamPosition,
     ack,
@@ -16,7 +14,7 @@ from repro.replicate.stream import (
 
 class TestRecords:
     def test_roundtrip_verifies(self):
-        record = make_record(1, "edit", '[0, 0, "5"]')
+        record = make_record(1, "ckpt", '{"nodes": []}')
         assert verify_record(record) is None
 
     def test_payload_tamper_fails_crc(self):
@@ -31,12 +29,14 @@ class TestRecords:
         assert verify_record({"lsn": 1, "k": "wal", "p": 7, "crc": "0"}) is not None
 
     def test_unknown_kind_refused_at_construction(self):
-        try:
-            make_record(1, "zap", "x")
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
+        # "edit" was the retired edit-log sidecar's kind.
+        for kind in ("zap", "edit"):
+            try:
+                make_record(1, kind, "x")
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"expected ValueError for {kind!r}")
 
     def test_ack_and_nack_shapes(self):
         assert ack("s", 4) == {"sid": "s", "applied": True, "lsn": 4}
@@ -66,25 +66,24 @@ class TestStreamPosition:
 
 class TestResyncFrame:
     def test_frame_carries_all_three_files(self, tmp_path):
+        # Checkpoint, sealed WAL segments, active WAL — and nothing else.
         base = tmp_path / "sid1"
         base.mkdir()
         (base / "sheet").write_text("CKPT")
         (base / "sheet.wal").write_text("active\n")
         (base / "sheet.wal.seg000001").write_text("sealed1\n")
         (base / "sheet.wal.seg000002").write_text("sealed2\n")
-        (base / "sheet.editlog").write_text('[0, 0, "5"]\n')
         frame = session_resync_frame(str(tmp_path), "sid1", 7)
         assert frame["kind"] == "resync" and frame["lsn"] == 7
         assert frame["ckpt"] == "CKPT"
         # Sealed segments oldest-first, then the active file.
         assert frame["wal"] == "sealed1\nsealed2\nactive\n"
-        assert json.loads(frame["editlog"].strip()) == [0, 0, "5"]
+        assert set(frame) == {"kind", "sid", "lsn", "ckpt", "wal"}
 
     def test_missing_files_become_null_and_empty(self, tmp_path):
         frame = session_resync_frame(str(tmp_path), "ghost", 0)
         assert frame["ckpt"] is None
         assert frame["wal"] == ""
-        assert frame["editlog"] == ""
 
     def test_concat_wal_of_absent_log_is_empty(self, tmp_path):
         assert concat_wal(str(tmp_path / "none.wal")) == ""

@@ -57,14 +57,14 @@ class TestStandbyRole:
             frame = {
                 "kind": "records",
                 "sid": "a",
-                "records": [make_record(1, "edit", '[0, 0, "5"]')],
+                "records": [make_record(1, "ckpt", "CKPT")],
             }
             applied = await server.handle({"op": "ship", "frame": frame})
             assert applied["result"] == {"sid": "a", "applied": True, "lsn": 1}
             gap = {
                 "kind": "records",
                 "sid": "a",
-                "records": [make_record(9, "edit", '[0, 1, "6"]')],
+                "records": [make_record(9, "ckpt", "CKPT")],
             }
             refused = await server.handle({"op": "ship", "frame": gap})
             assert refused["result"]["applied"] is False

@@ -196,6 +196,28 @@ class TestCloseAndResurrect:
         finally:
             revived.close()
 
+    def test_rolled_back_batch_stays_gone_after_eviction(self, tmp_path):
+        config = make_config(tmp_path)
+        session = Session.open("t1", config)
+        session.apply({"op": "write", "session": "t1", "cells": [[0, 0, "1"]]})
+        with pytest.raises(SessionOpError, match="rolled back"):
+            session.apply(
+                {"op": "batch", "session": "t1",
+                 "cells": [[0, 0, "5"], [1, 1, "= R0C0 +"]]}
+            )
+        session.close(reason="eviction")
+
+        revived = Session.open("t1", config)
+        try:
+            read = revived.apply(
+                {"op": "read", "session": "t1", "row": 0, "col": 0}
+            )
+            assert read["value"] == 1
+            log = revived.apply({"op": "log", "session": "t1"})
+            assert log["edits"] == [[0, 0, "1"]]
+        finally:
+            revived.close()
+
     def test_wal_tail_survives_uncheckpointed_close(self, tmp_path):
         config = make_config(tmp_path)
         session = Session.open("t1", config)

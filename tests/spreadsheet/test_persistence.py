@@ -194,3 +194,32 @@ class TestDegradedLoad:
             assert loaded.values() == expected
         assert loaded.runtime.stats.executions > 0
         assert loaded.runtime.check_invariants(raise_on_violation=False) == []
+
+
+class TestRolledBackBatch:
+    def test_rolled_back_formula_stays_out_of_the_next_checkpoint(
+        self, tmp_path
+    ):
+        from repro.spreadsheet.formula import FormulaError
+
+        path = str(tmp_path / "sheet.ckpt")
+        fresh_id_space()
+        rt = Runtime(keep_registry=True)
+        with rt.active():
+            sheet = Spreadsheet(2, 2)
+            sheet.save(path)
+            sheet.set_formula(0, 0, "1")
+            with pytest.raises(FormulaError):
+                sheet.bulk_update(
+                    [(0, 0, "5"), (1, 1, "= R0C0 +")], rollback_on_error=True
+                )
+            assert sheet.value(0, 0) == 1
+            # The redo state a checkpoint stores rolled back too.
+            sheet.save(path)
+        rt._discarded = True
+
+        fresh_id_space()
+        loaded, _report = Spreadsheet.load(path)
+        with loaded.runtime.active():
+            assert loaded.value(0, 0) == 1
+        assert loaded.history == sheet.history == [[0, 0, "1"]]
