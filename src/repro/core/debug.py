@@ -227,7 +227,7 @@ def consistency_report(runtime: Runtime) -> str:
     nodes = runtime.graph.nodes
     dirty = [n for n in nodes if n.is_procedure and not n.consistent]
     live_edges = runtime.stats.live_edges
-    parts = runtime.partitions.all_sets(nodes) if nodes else []
+    parts = runtime.partitions.all_parts(nodes) if nodes else []
     return (
         f"nodes={len(nodes)} live_edges={live_edges} "
         f"dirty_procedures={len(dirty)} partitions={len(parts)} "

@@ -12,8 +12,9 @@ Each :class:`Edge` participates in two circular doubly-linked lists:
 * the *predecessor list* of its destination node (all edges into ``dst``).
 
 Detaching an edge unlinks it from both lists in O(1) with no search, which
-is what makes ``RemovePredEdges`` (Algorithm 5) linear in the number of
-edges removed.  The lists use sentinel headers so that insertion and
+is what makes ``RemovePredEdges`` (Algorithm 5), and the sweep of unread
+in-edges that replaces it on re-execution, linear in the number of edges
+removed.  The lists use sentinel headers so that insertion and
 removal never special-case an empty list.
 """
 
@@ -92,6 +93,21 @@ class EdgeList:
         link = edge._succ_link if self._slot == "succ" else edge._pred_link
         link.unlink()
         self._size -= 1
+
+    def oldest(self) -> _Link:
+        """The link of the least recently attached edge.
+
+        New edges are attached at the newest end, so walking ``.prev``
+        from here visits edges in attachment order and ends at the
+        sentinel (whose ``edge`` is None).
+        """
+        return self._head.prev
+
+    def renew(self, edge: "Edge") -> None:
+        """Move ``edge``, already in this list, to the newest end (O(1))."""
+        link = edge._succ_link if self._slot == "succ" else edge._pred_link
+        link.unlink()
+        link.insert_after(self._head)
 
     def nodes(self) -> Iterator["DepNode"]:
         """Yield the node at the far end of each edge in this list."""

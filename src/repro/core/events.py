@@ -42,9 +42,13 @@ class EventKind(enum.Enum):
 
     #: A dependency-graph node was created (storage or procedure).
     NODE_CREATED = "node-created"
-    #: An edge src -> dst was attached; ``node`` is src, ``data`` is dst.
+    #: A new edge src -> dst was attached; ``node`` is src, ``data`` is
+    #: dst.  A re-execution that reads src again keeps the old edge and
+    #: announces nothing.
     EDGE_ADDED = "edge-added"
-    #: ``amount`` in-/out-edges of ``node`` were detached.
+    #: ``amount`` in-/out-edges of ``node`` were detached: by disposal,
+    #: by a re-entrant activation, or, once per activation, the old
+    #: in-edges a re-execution did not read again.
     EDGE_REMOVED = "edge-removed"
     #: An edge insertion raised pseudo-heights (``amount`` is 1).
     ORDER_SHIFTED = "order-shifted"

@@ -2,10 +2,14 @@
 
 Ties together nodes, O(1)-removal edges, the incremental topological
 order, and the union-find partitioning.  The runtime calls
-:meth:`DependencyGraph.create_edge` at every tracked read and incremental
-call (Algorithms 3 and 5) and :meth:`remove_pred_edges` before every
-re-execution (Algorithm 5's ``RemovePredEdges``), so these paths are kept
-small and allocation-light.
+:meth:`DependencyGraph.create_edge` when a tracked read or incremental
+call (Algorithms 3 and 5) reads a source the executing node has no
+in-edge from yet.  Algorithm 5 runs ``RemovePredEdges`` before every
+re-execution; here a re-execution instead keeps each old in-edge whose
+source it reads again and detaches the rest when it ends (the runtime's
+``_Frame`` does the reconciling), so an unchanged read set costs no edge
+allocation, ordering check, union or event.  :meth:`remove_pred_edges`
+remains for re-entrant activations and cache disposal.
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ class DependencyGraph:
     ) -> bool:
         """Record that ``dst``'s computation read ``src`` (CreateEdge).
 
-        ``dedupe`` is the per-execution set of source node ids already
-        edged into ``dst``; repeated reads of the same location within one
-        body add only one edge.  Returns True if an edge was added.
+        ``dedupe`` is a set of source node ids already edged into
+        ``dst``; a source in it adds no second edge.  (The runtime's
+        frames dedupe and reuse old edges themselves and pass none.)
+        Returns True if an edge was added.
         """
         if dedupe is not None:
             if id(src) in dedupe:
@@ -97,12 +102,14 @@ class DependencyGraph:
         return True
 
     def remove_pred_edges(self, node: DepNode) -> int:
-        """Detach every in-edge of ``node`` (before re-execution).
+        """Detach every in-edge of ``node``.
 
         "If p has been executed previously, it has a set of dependent
         edges from Alphonse procedures and storage locations that were
         accessed during the previous execution.  These edges are removed
-        before subsequent executions." (Section 4.3)
+        before subsequent executions." (Section 4.3)  An ordinary
+        re-execution reconciles its reads against these edges instead;
+        this is the path for a re-entrant activation and for disposal.
         """
         removed = 0
         for edge in node.pred:

@@ -158,7 +158,8 @@ def _audit_incset_membership(rt: "Runtime", nodes, report) -> None:
                 return
     # Membership -> flag: set sizes must agree with the flags (a size
     # leak makes empty sets look pending forever, or hides members).
-    for incset in rt.partitions.all_sets(nodes):
+    for part in rt.partitions.all_parts(nodes):
+        incset = part.incset
         members = incset.members()
         if len(incset) != len(members):
             report(

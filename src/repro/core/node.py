@@ -176,7 +176,7 @@ class DepNode:
         #: §6.2 static graph construction: the procedure declared that its
         #: referenced-argument set never changes across executions, so the
         #: dependency subgraph built by the first execution is kept —
-        #: re-executions skip RemovePredEdges and edge re-creation.
+        #: re-executions skip matching their reads against it.
         self.static_edges: bool = False
         #: True once a static-edge node's first execution built its edges.
         self.edges_frozen: bool = False

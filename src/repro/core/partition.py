@@ -367,30 +367,15 @@ class PartitionManager:
         else:
             self.set_of(node).discard(node)
 
-    def note_drained(self, drained) -> None:
-        """Drop an emptied partition from the dirty registry.
-
-        Accepts a :class:`PartitionScheduler` or (for compatibility with
-        older callers) its bare :class:`InconsistentSet`.
-        """
-        if isinstance(drained, PartitionScheduler):
-            if not drained.incset:
-                self.dirty.pop(drained.pid, None)
-            return
-        if not drained:
-            for pid, part in list(self.dirty.items()):
-                if part.incset is drained:
-                    self.dirty.pop(pid, None)
-                    return
+    def note_drained(self, drained: PartitionScheduler) -> None:
+        """Drop an emptied partition from the dirty registry."""
+        if not drained.incset:
+            self.dirty.pop(drained.pid, None)
 
     def pending_parts(self) -> List[PartitionScheduler]:
         """Every partition that may hold pending work, for a full flush."""
         with self.guard():
             return [p for p in list(self.dirty.values()) if p.incset]
-
-    def pending_sets(self) -> List[InconsistentSet]:
-        """The pending partitions' worklists (legacy surface)."""
-        return [p.incset for p in self.pending_parts()]
 
     def has_pending(self) -> bool:
         return any(p.incset for p in self.dirty.values())
@@ -412,7 +397,3 @@ class PartitionManager:
             assert root.payload is not None
             seen[id(root)] = root.payload
         return list(seen.values())
-
-    def all_sets(self, nodes: Iterable[DepNode]) -> List[InconsistentSet]:
-        """Distinct inconsistent sets among ``nodes`` (diagnostics)."""
-        return [p.incset for p in self.all_parts(nodes)]

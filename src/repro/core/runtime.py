@@ -14,8 +14,11 @@ transformation inserts into every Alphonse program:
 * ``call(p, a1..ak)`` — Algorithm 5: look up the argument table; on a
   miss create an inconsistent node; on a hit force pending evaluation
   first; edge the node to the caller; return the cached value if
-  consistent, otherwise remove stale predecessor edges, push the node on
-  the call stack, mark it consistent, run the body, and cache the result.
+  consistent, otherwise push the node on the call stack, mark it
+  consistent, run the body, and cache the result.  Algorithm 5 removes
+  the node's old predecessor edges before the body; here the body's
+  reads are reconciled against them instead (see ``_Frame``), which
+  leaves the same edges without re-creating the unchanged ones.
 
 In the Python embedding, "tracked storage" is any location from
 :mod:`repro.core.cells` and incremental procedures are created with the
@@ -46,6 +49,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .cache import ArgumentTable, CachePolicy, Unbounded
+from .edges import Edge
 from .errors import CycleError, NodeExecutionError, RuntimeStateError
 from .events import EventBus, EventKind
 from .graph import DependencyGraph
@@ -86,7 +90,23 @@ def _retain_stale(poison: Poisoned, prior: Any) -> None:
 
 
 class _Frame:
-    """One call-stack entry: the executing node plus its edge-dedupe set.
+    """One call-stack entry: the executing node plus the reconciliation
+    of this activation's reads against the node's existing in-edges.
+
+    ``deps_seen`` holds the ids of the sources this activation already
+    has an in-edge from, so repeated reads of one location add one edge.
+
+    Dependency reuse (generalising §6.2 to every procedure): instead of
+    Algorithm 5's RemovePredEdges before the body, a re-execution keeps
+    each old in-edge whose source it reads again and creates edges only
+    for new sources.  The in-edge list is kept in read order, so the usual
+    re-execution — same sources, same order — walks it with a cursor:
+    ``cursor`` is the link of the next old edge expected and ``left``
+    counts the old edges from there on still unmatched.  The first read
+    that misses the cursor spills those into ``old`` (source id ->
+    edge); edges kept from there are moved to the newest end, so the
+    list is back in read order for the next run.  :meth:`sweep` detaches
+    whatever the activation never read.
 
     ``freeze_edges`` implements §6.2 static graph construction: when the
     node's dependency subgraph is declared static and was already built
@@ -94,12 +114,79 @@ class _Frame:
     entirely.
     """
 
-    __slots__ = ("node", "deps_seen", "freeze_edges")
+    __slots__ = (
+        "node", "deps_seen", "freeze_edges", "cursor", "left", "old", "dropped"
+    )
 
     def __init__(self, node: DepNode) -> None:
         self.node = node
         self.deps_seen: Set[int] = set()
         self.freeze_edges = node.static_edges and node.edges_frozen
+        self.cursor = node.pred.oldest()
+        self.left = 0 if self.freeze_edges else len(node.pred)
+        self.old: Optional[Dict[int, Edge]] = None
+        #: Old edges detached so far (second edges from one source, left
+        #: behind by a re-entrant activation, then the unread ones).
+        self.dropped = 0
+
+    def depend(self, src: DepNode, graph: DependencyGraph) -> None:
+        """Record that this activation read ``src``: keep the old edge
+        from it if there is one, else create it."""
+        key = id(src)
+        seen = self.deps_seen
+        if key in seen:
+            return
+        if self.left:
+            link = self.cursor
+            if link.edge.src is src:
+                seen.add(key)
+                self.cursor = link.prev
+                self.left -= 1
+                return
+            self._spill()
+        seen.add(key)
+        old = self.old
+        if old:
+            edge = old.pop(key, None)
+            if edge is not None:
+                self.node.pred.renew(edge)
+                return
+        graph.create_edge(src, self.node)
+
+    def _spill(self) -> None:
+        """Move the unmatched old edges from the cursor into ``old``."""
+        old: Dict[int, Edge] = {}
+        seen = self.deps_seen
+        link = self.cursor
+        for _ in range(self.left):
+            edge = link.edge
+            link = link.prev
+            key = id(edge.src)
+            if key in seen or key in old:
+                edge.detach()
+                self.dropped += 1
+            else:
+                old[key] = edge
+        self.old = old
+        self.left = 0
+
+    def forget(self) -> None:
+        """Drop all reuse state: a re-entrant activation of the same node
+        is about to remove every in-edge this frame could keep."""
+        self.deps_seen.clear()
+        self.left = 0
+        self.old = None
+
+    def sweep(self) -> int:
+        """Detach the old in-edges this activation never read; returns
+        how many old edges the activation dropped in all."""
+        if self.left:
+            self._spill()
+        if self.old:
+            for edge in self.old.values():
+                edge.detach()
+            self.dropped += len(self.old)
+        return self.dropped
 
 
 class _Ctx:
@@ -319,9 +406,7 @@ class Runtime:
                 node = self._storage_node(location)
                 node.value = location._value
                 if not frame.freeze_edges:
-                    self.graph.create_edge(
-                        node, frame.node, dedupe=frame.deps_seen
-                    )
+                    frame.depend(node, self.graph)
         return location._value
 
     def on_modify(self, location: "Location", value: Any) -> None:
@@ -444,9 +529,7 @@ class Runtime:
         if ctx.stack and not ctx.unchecked:
             frame = ctx.stack[-1]
             if not frame.freeze_edges:
-                self.graph.create_edge(
-                    node, frame.node, dedupe=frame.deps_seen
-                )
+                frame.depend(node, self.graph)
 
         if node.consistent:
             value = node.value
@@ -520,8 +603,10 @@ class Runtime:
     def execute_node(self, node: DepNode) -> Any:
         """Run a procedure instance's body and cache the result.
 
-        The tail of Algorithm 5: RemovePredEdges, push, set consistent
-        *before* the body, execute, record.
+        The tail of Algorithm 5: push, set consistent *before* the body,
+        execute, record.  In place of RemovePredEdges the frame keeps the
+        old in-edges the body reads again and detaches the rest in the
+        ``finally`` that pops it, also when the body raises.
 
         Re-entrancy: an execution may call the *same* instance again if
         intervening writes re-marked it inconsistent — the paper's AVL
@@ -547,15 +632,16 @@ class Runtime:
                 raise CycleError(
                     f"{node.label} re-entered {node.executing} times"
                 )
-            # The outer activation's in-edges are about to be removed;
-            # clear its dedupe sets so reads after the inner activation
-            # returns re-create their edges.
+            # A re-entrant activation starts from no in-edges.  The
+            # outer activation's are about to be removed, so drop its
+            # reuse state: its reads after the inner activation returns
+            # re-create their edges.
             for outer in ctx.stack:
                 if outer.node is node:
-                    outer.deps_seen.clear()
+                    outer.forget()
+            if not (node.static_edges and node.edges_frozen):
+                self.graph.remove_pred_edges(node)
         assert node.thunk is not None, "procedure node lost its thunk"
-        if not (node.static_edges and node.edges_frozen):
-            self.graph.remove_pred_edges(node)
         frame = _Frame(node)
         ctx.stack.append(frame)
         self.events.emit(EventKind.EXECUTION_STARTED, node)
@@ -614,6 +700,9 @@ class Runtime:
             node.executing -= 1
             popped = ctx.stack.pop()
             assert popped is frame
+            dropped = frame.sweep()
+            if dropped:
+                self.events.emit(EventKind.EDGE_REMOVED, node, amount=dropped)
         committed = node.activation_seq == my_activation
         if committed:
             if type(node.value) is Poisoned:
@@ -1100,7 +1189,7 @@ class IncrementalProcedure:
         #: §6.2 static graph construction: the programmer asserts this
         #: procedure's referenced-argument set is identical on every
         #: execution of a given instance, so its dependency subgraph is
-        #: built once and reused (no RemovePredEdges / edge re-creation).
+        #: built once and reused (reads are not even matched against it).
         self.static_deps = static_deps
 
     def make_policy(self) -> CachePolicy:

@@ -133,10 +133,7 @@ class Watchdog:
 
     The watchdog itself is immutable configuration plus the event bus;
     all mutable per-drain state lives on the :class:`DrainBudget` that
-    :meth:`begin` returns.  The legacy instance-level :meth:`step` /
-    :meth:`hot_nodes` delegate to the most recently begun budget (a
-    convenience for direct/diagnostic use; the scheduler always goes
-    through the handle).
+    :meth:`begin` returns.
     """
 
     __slots__ = (
@@ -146,7 +143,6 @@ class Watchdog:
         "hot_report",
         "events",
         "resilience",
-        "_last",
     )
 
     def __init__(
@@ -174,7 +170,6 @@ class Watchdog:
         #: Resilience policy whose quarantined procedures enrich trip
         #: diagnostics; linked by ``Runtime.use_resilience``.
         self.resilience = None
-        self._last: Optional[DrainBudget] = None
 
     @property
     def enabled(self) -> bool:
@@ -189,20 +184,4 @@ class Watchdog:
 
     def begin(self) -> DrainBudget:
         """Open a fresh per-drain budget (called at drain start)."""
-        budget = DrainBudget(self)
-        self._last = budget
-        return budget
-
-    def step(self, node: DepNode) -> None:
-        """Charge a step to the most recently begun drain (legacy)."""
-        if self._last is None:
-            self._last = DrainBudget(self)
-        self._last.step(node)
-
-    # -- diagnostics -----------------------------------------------------
-
-    def hot_nodes(self) -> List[Tuple[str, int]]:
-        """Hot nodes of the most recently begun drain (legacy surface)."""
-        if self._last is None:
-            return []
-        return self._last.hot_nodes()
+        return DrainBudget(self)

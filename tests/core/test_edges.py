@@ -67,6 +67,27 @@ class TestEdgeList:
         assert set(id(e) for e in hub.succ) == set(id(e) for e in edges)
         assert len(hub.succ) == 5
 
+    def test_oldest_walks_attachment_order_and_renew_moves_to_newest(self):
+        sink = _node("sink")
+        sources = [_node(f"s{i}") for i in range(4)]
+        edges = [Edge(source, sink) for source in sources]
+        for edge in edges:
+            edge.attach()
+
+        def walk():
+            out, link = [], sink.pred.oldest()
+            while link.edge is not None:
+                out.append(link.edge)
+                link = link.prev
+            return out
+
+        assert walk() == edges
+        sink.pred.renew(edges[1])
+        assert walk() == [edges[0], edges[2], edges[3], edges[1]]
+        assert len(sink.pred) == 4
+        # The source's successor list is untouched by a pred-side renew.
+        assert list(sources[1].succ) == [edges[1]]
+
     def test_remove_middle_edge(self):
         hub = _node("hub")
         others = [_node(f"o{i}") for i in range(3)]

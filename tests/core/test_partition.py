@@ -137,10 +137,10 @@ class TestPartitionManager:
         assert mgr.mark(a) is True
         assert mgr.has_pending()
         assert mgr.mark(a) is False  # already pending
-        sets = mgr.pending_sets()
-        assert len(sets) == 1
-        assert sets[0].pop() is a
-        mgr.note_drained(sets[0])
+        parts = mgr.pending_parts()
+        assert len(parts) == 1
+        assert parts[0].incset.pop() is a
+        mgr.note_drained(parts[0])
         assert not mgr.has_pending()
 
     def test_disabled_manager_uses_single_global_set(self):
@@ -161,16 +161,16 @@ class TestPartitionManager:
         for i in range(9):
             mgr.union(nodes[i], nodes[i + 1])
         assert all(mgr.same_partition(nodes[0], n) for n in nodes)
-        assert len(mgr.all_sets(nodes)) == 1
+        assert len(mgr.all_parts(nodes)) == 1
 
-    def test_all_sets_counts_distinct_partitions(self):
+    def test_all_parts_counts_distinct_partitions(self):
         mgr = _mgr()
         nodes = [_node(f"n{i}") for i in range(6)]
         for n in nodes:
             mgr.register(n)
         mgr.union(nodes[0], nodes[1])
         mgr.union(nodes[2], nodes[3])
-        assert len(mgr.all_sets(nodes)) == 4  # {0,1}, {2,3}, {4}, {5}
+        assert len(mgr.all_parts(nodes)) == 4  # {0,1}, {2,3}, {4}, {5}
 
     def test_union_transfers_dirty_registration(self):
         mgr = _mgr()
@@ -180,5 +180,5 @@ class TestPartitionManager:
         mgr.mark(b)
         mgr.union(a, b)  # b's payload absorbed somewhere
         assert mgr.has_pending()
-        pending = mgr.pending_sets()
-        assert sum(len(s) for s in pending) == 1
+        pending = mgr.pending_parts()
+        assert sum(len(p.incset) for p in pending) == 1

@@ -33,7 +33,9 @@ class TestStaticDeps:
         assert rt.stats.edges_created == created_first
         assert rt.stats.edges_removed == 0
 
-    def test_dynamic_variant_rebuilds_edges(self, rt):
+    def test_dynamic_variant_reuses_unchanged_edges(self, rt):
+        """Without the static promise, a re-execution that reads the
+        same sources keeps their edges: nothing created or removed."""
         a, b = Cell(1, label="a"), Cell(2, label="b")
 
         @cached
@@ -41,11 +43,35 @@ class TestStaticDeps:
             return a.get() + b.get()
 
         total()
-        created_first = rt.stats.edges_created
+        before = rt.stats.snapshot()
         a.set(5)
-        total()
-        assert rt.stats.edges_created > created_first
-        assert rt.stats.edges_removed > 0
+        assert total() == 7
+        delta = rt.stats.delta(before)
+        assert delta["executions"] == 1
+        assert delta["edges_created"] == 0
+        assert delta["edges_removed"] == 0
+
+    def test_changed_read_set_rewires_only_the_difference(self, rt):
+        flag = Cell(True, label="flag")
+        a, b = Cell(1, label="a"), Cell(2, label="b")
+
+        @cached
+        def pick():
+            return a.get() if flag.get() else b.get()
+
+        assert pick() == 1
+        before = rt.stats.snapshot()
+        flag.set(False)
+        assert pick() == 2
+        delta = rt.stats.delta(before)
+        assert delta["edges_created"] == 1  # b -> pick
+        assert delta["edges_removed"] == 1  # a -> pick
+        node = rt.node_for(pick, ())
+        assert sorted(n.label for n in node.pred.nodes()) == ["b", "flag"]
+        executions = rt.stats.executions
+        a.set(99)
+        assert pick() == 2
+        assert rt.stats.executions == executions
 
     def test_static_maintained_method(self, rt):
         class Pair(TrackedObject):

@@ -148,23 +148,32 @@ class TestLivelockDetection:
             def __init__(self, label):
                 self.label = label
 
-        a, b = FakeNode("a"), FakeNode("b")
-        dog.begin()
+        a, b, c = FakeNode("a"), FakeNode("b"), FakeNode("c")
+        budget = dog.begin()
         for _ in range(3):
-            dog.step(a)
-        dog.step(b)
-        assert dog.hot_nodes() == [("a", 3), ("b", 1)]
+            budget.step(a)
+        budget.step(b)
+        budget.step(c)
+        budget.step(c)
+        assert budget.hot_nodes() == [("a", 3), ("c", 2)]
+        # Each drain gets its own ledger.
+        assert dog.begin().hot_nodes() == []
 
 
 class TestSchedulingIntegration:
-    def test_disabled_watchdog_costs_nothing(self):
+    def test_disabled_watchdog_costs_nothing(self, monkeypatch):
         """A watchdog with no budgets must not even be stepped."""
+        begun = []
+        real_begin = Watchdog.begin
+        monkeypatch.setattr(
+            Watchdog, "begin", lambda dog: begun.append(dog) or real_begin(dog)
+        )
         dog = Watchdog()
         rt, cells, total = _fanout_runtime(dog)
         with rt.active():
             cells[0].set(99)
             rt.flush()
-        assert dog._last is None  # never began a budget, never charged
+        assert begun == []  # never began a budget, never charged
 
     def test_budget_applies_to_idle_tick(self):
         rt, cells, total = _fanout_runtime(Watchdog(max_steps=2))

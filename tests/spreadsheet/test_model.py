@@ -185,3 +185,26 @@ class TestOrderMaintenance:
         assert sheet.value(rows - 1, 0) == 4 + rows - 1
         moved = [node.label for node, order in before if node.order != order]
         assert moved == []
+
+
+class TestEdgeReuse:
+    def test_same_references_edit_creates_only_the_new_tree(self, rt):
+        """Rewriting a cell's constant while keeping its references
+        re-executes every dependent, but each reads the same sources as
+        before: only the fresh formula tree gets new edges."""
+        rows = 100
+        sheet = Spreadsheet(rows, 2)
+        sheet.set_formula(0, 0, 1)
+        sheet.set_formula(0, 1, 2)
+        for row in range(1, rows):
+            sheet.set_formula(row, 0, f"R{row - 1}C0 + R{row - 1}C1")
+            sheet.set_formula(row, 1, f"R{row - 1}C1 + 1")
+        assert sheet.value(rows - 1, 0) == 1 + sum(2 + r for r in range(rows - 1))
+        before = rt.stats.snapshot()
+        sheet.set_formula(50, 1, "R49C1 + 5")
+        assert sheet.value(rows - 1, 0) == (
+            1 + sum(2 + r for r in range(rows - 1)) + 4 * (rows - 51)
+        )
+        delta = rt.stats.delta(before)
+        assert delta["executions"] > 2 * (rows - 51)
+        assert delta["edges_created"] <= 20
